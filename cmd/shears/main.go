@@ -45,15 +45,19 @@
 // version, flags, world fingerprint, per-stage durations and
 // throughput. -cpuprofile/-memprofile write pprof profiles of the run.
 //
-// Analysis snapshots: for binary datasets the driver maintains
-// <out>/samples.snap — the serialized merged analysis state, refreshed
-// at every campaign checkpoint — so the post-campaign figure scan (and
-// any later re-analysis over the grown dataset) decodes only blocks
-// appended since the snapshot. -snapshot off disables it.
+// Analysis snapshots: for binary datasets the driver keeps the merged
+// analysis state resident for the whole run. A follower goroutine folds
+// each checkpoint's newly sealed blocks off the engine's merge path, so
+// after the campaign only the post-checkpoint tail is decoded; figures
+// render from the resident state, and <out>/samples.snap (the
+// serialized state, letting any later re-analysis over the grown
+// dataset decode only appended blocks) is written once at the end.
+// -snapshot off disables it.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -113,6 +117,8 @@ type options struct {
 	logLevel        string // minimum log level: debug, info, warn, error
 
 	// Test hooks (unexported, zero in production).
+	ctx         context.Context                 // campaign context; nil means context.Background()
+	reg         *obs.Registry                   // metrics registry; nil means a fresh one
 	logDst      io.Writer                       // structured log destination; nil means stderr
 	statusReady func(addr string)               // called with the bound status address
 	onRound     func(round int, samples uint64) // observes each merged campaign round
@@ -187,6 +193,11 @@ func main() {
 	}
 }
 
+// binWidth is the Figure 7 bin geometry the analysis runs with — the
+// one atlasd's serving layer and the figures CLI use, so a snapshot
+// written by any of them seeds the others.
+const binWidth = 7 * 24 * time.Hour
+
 // checkpointFile is the engine checkpoint's name inside the dataset dir.
 const checkpointFile = "checkpoint.json"
 
@@ -240,7 +251,10 @@ func run(o options) (err error) {
 			}
 		}()
 	}
-	reg := obs.NewRegistry()
+	reg := o.reg
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	m := atlas.NewMetrics(reg)
 	engMetrics := engine.NewMetrics(reg)
 	snapMetrics := snap.NewMetrics(reg)
@@ -365,11 +379,12 @@ func run(o options) (err error) {
 	if err != nil {
 		return err
 	}
+	// No refresh gate: the driver writes the snapshot once, at the end,
+	// and it should cover the whole finished store.
 	snapOpts := core.SnapshotOptions{
-		Path:          store.SnapshotPath(),
-		Metrics:       snapMetrics,
-		RefreshFactor: core.DefaultRefreshFactor,
-		Log:           logger.With("snap"),
+		Path:    store.SnapshotPath(),
+		Metrics: snapMetrics,
+		Log:     logger.With("snap"),
 	}
 
 	manifest.WorldFingerprint = fingerprint
@@ -389,22 +404,46 @@ func run(o options) (err error) {
 		// offset is always durable on disk — and, for binary stores, a
 		// block boundary Resume can truncate to.
 		campaignOpts.Commit = sink.Commit
-		if snapEnabled {
-			// Fold each durable checkpoint into the analysis snapshot while
-			// the sink is quiesced: the post-campaign scan (and any later
-			// re-analysis) then decodes only blocks written since the last
-			// checkpoint. Snapshot failures never fail the campaign — the
-			// scan falls back to a cold pass.
-			campaignOpts.OnCheckpoint = func(round int, offset int64) {
-				if _, uerr := core.UpdateSnapshot(context.Background(), store, w.Index, cfg.Start, 7*24*time.Hour, workers, nil, snapOpts); uerr != nil {
-					logger.Warn("snapshot update failed", "round", round, "offset", offset, "error", uerr)
-				}
-			}
+	}
+
+	// Binary stores keep the analysis state resident for the whole run:
+	// a follower goroutine folds each checkpointed prefix as the engine
+	// hands it over, so after the campaign only the blocks written since
+	// the last checkpoint remain to decode. Snapshot problems never fail
+	// the campaign — without the follower, the figures rescan the store.
+	var (
+		hot *core.HotSuite
+		fl  *follower
+	)
+	if snapEnabled && store.Format() == results.FormatBinary {
+		var ferr error
+		hot, ferr = core.NewHotSuite(store, w.Index, cfg.Start, binWidth, snapOpts)
+		if ferr == nil {
+			fl, ferr = startFollower(hot, store.SamplesPath(),
+				scan.Config{Workers: workers, Metrics: scanMetrics, Log: snapOpts.Log}, root)
+		}
+		if ferr != nil {
+			logger.Warn("snapshot follower unavailable; figures will rescan the store", "error", ferr)
+			hot = nil
+		} else {
+			campaignOpts.OnCheckpoint = func(_ int, offset int64) { fl.Checkpoint(offset) }
+		}
+	}
+	// writeSnapshot persists the resident state; failures only log.
+	writeSnapshot := func() {
+		s := root.Child("snapshot.write")
+		defer s.End()
+		if werr := hot.WriteSnapshot(store, snapOpts); werr != nil && !errors.Is(werr, core.ErrEmptyStore) {
+			logger.Warn("snapshot write failed", "path", snapOpts.Path, "error", werr)
 		}
 	}
 
 	campSpan := root.Child("campaign")
-	ctx := obs.ContextWith(context.Background(), campSpan)
+	campCtx := o.ctx
+	if campCtx == nil {
+		campCtx = context.Background()
+	}
+	ctx := obs.ContextWith(campCtx, campSpan)
 	stopProgress := startProgress(logger, m, cfg.Rounds(), o.progressEvery)
 	var n uint64
 	if o.cluster > 0 {
@@ -435,8 +474,21 @@ func run(o options) (err error) {
 	if d := campSpan.Duration(); d > 0 {
 		manifest.SamplesPerSec = float64(n-startSamples) / d.Seconds()
 	}
+	if fl != nil {
+		defer fl.Close()
+		if ferr := fl.Finish(); ferr != nil {
+			// A fold error drops the resident state: it may be partial.
+			logger.Warn("snapshot follower failed; figures will rescan the store", "error", ferr)
+			hot = nil
+		}
+	}
 	if err != nil {
 		sink.Close()
+		if hot != nil {
+			// The folded prefix ends at the last checkpoint, exactly where
+			// -resume truncates the store, so the snapshot seeds the rerun.
+			writeSnapshot()
+		}
 		if o.checkpointEvery > 0 {
 			logger.Warn("campaign interrupted; rerun with -resume to continue",
 				"samples", n, "checkpoint", ckPath, "error", err)
@@ -463,41 +515,78 @@ func run(o options) (err error) {
 	if tixEnabled {
 		// The temporal index is an accelerator: a build failure costs
 		// windowed queries their fast path, never the campaign.
-		if err := buildTix(store, w.Index, logger.With("tix")); err != nil {
+		tixSpan := root.Child("tix.build")
+		err := buildTix(store, w.Index, logger.With("tix"))
+		tixSpan.End()
+		if err != nil {
 			logger.Warn("temporal index build failed", "error", err)
 		}
 	}
 
 	figSpan := root.Child("figures")
 	defer figSpan.End()
-	if o.quiet && o.figDir == "" {
+	render := !o.quiet || o.figDir != ""
+	if !render && !snapEnabled {
 		return nil
 	}
-	// One fused parallel scan of the dataset computes every figure report;
-	// the renderers below only format what it already aggregated.
+	// One fused parallel pass over the dataset computes every figure
+	// report; the renderers below only format what it already aggregated.
+	// With the resident state that pass is just the post-checkpoint tail.
 	scanCtx := obs.ContextWith(context.Background(), figSpan)
 	var (
 		rep *core.SuiteReport
 		st  scan.Stats
 	)
-	if snapEnabled {
-		rep, st, err = core.ScanStoreSnap(scanCtx, store, w.Index, cfg.Start, 7*24*time.Hour, workers, scanMetrics, snapOpts)
-	} else {
-		rep, st, err = core.ScanStore(scanCtx, store, w.Index, cfg.Start, 7*24*time.Hour, workers, scanMetrics)
+	if hot != nil {
+		_, prefixBlocks := hot.Covered()
+		var terr error
+		if st, terr = fl.Tail(scanCtx); terr != nil {
+			logger.Warn("snapshot tail fold failed; figures will rescan the store", "error", terr)
+			hot = nil
+		} else {
+			_, totalBlocks := hot.Covered()
+			manifest.Snapshot = &obs.SnapshotCoverage{
+				PrefixBlocks: prefixBlocks, BlocksRead: st.BlocksRead, BlocksTotal: totalBlocks,
+			}
+			writeSnapshot()
+			if render {
+				if rep, err = hot.Report(); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	if err != nil {
-		return err
+	if hot == nil {
+		switch {
+		case !render:
+			var uerr error
+			if st, uerr = core.UpdateSnapshot(scanCtx, store, w.Index, cfg.Start, binWidth, workers, scanMetrics, snapOpts); uerr != nil {
+				logger.Warn("snapshot update failed", "error", uerr)
+			}
+		case snapEnabled:
+			rep, st, err = core.ScanStoreSnap(scanCtx, store, w.Index, cfg.Start, binWidth, workers, scanMetrics, snapOpts)
+		default:
+			rep, st, err = core.ScanStore(scanCtx, store, w.Index, cfg.Start, binWidth, workers, scanMetrics)
+		}
+		if err != nil {
+			return err
+		}
+		if snapEnabled && st.Binary {
+			manifest.Snapshot = &obs.SnapshotCoverage{
+				PrefixBlocks: st.PrefixBlocks, BlocksRead: st.BlocksRead, BlocksTotal: st.BlocksTotal,
+			}
+		}
 	}
 	logger.Info("scan complete",
 		"samples", st.Samples, "duration", st.Duration.Round(time.Millisecond),
 		"mb_per_sec", st.MBPerSec(), "workers", st.Workers)
-	if snapEnabled && st.Binary {
+	if c := manifest.Snapshot; c != nil {
 		logger.Info("snapshot coverage",
-			"blocks_read", st.BlocksRead, "blocks_total", st.BlocksTotal,
-			"prefix_blocks", st.PrefixBlocks)
-		manifest.Snapshot = &obs.SnapshotCoverage{
-			PrefixBlocks: st.PrefixBlocks, BlocksRead: st.BlocksRead, BlocksTotal: st.BlocksTotal,
-		}
+			"blocks_read", c.BlocksRead, "blocks_total", c.BlocksTotal,
+			"prefix_blocks", c.PrefixBlocks)
+	}
+	if !render {
+		return nil
 	}
 	if o.figDir != "" {
 		if err := writeArtifacts(o.figDir, rep, cfg, figSpan); err != nil {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -13,9 +15,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atlas"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/results"
+	"repro/internal/snap"
+	"repro/internal/world"
 )
 
 func TestRunBuildsDataset(t *testing.T) {
@@ -142,7 +148,7 @@ func TestRunWritesTrace(t *testing.T) {
 	for _, c := range root.Children {
 		byName[c.Name] = c
 	}
-	for _, want := range []string{"world.build", "campaign", "results.flush", "figures"} {
+	for _, want := range []string{"world.build", "snapshot.follow", "campaign", "results.flush", "tix.build", "figures", "snapshot.write"} {
 		c, ok := byName[want]
 		if !ok {
 			t.Errorf("root lacks %q child; has %d children", want, len(root.Children))
@@ -401,7 +407,7 @@ func TestRunWritesChromeTrace(t *testing.T) {
 		}
 		names[e.Name] = true
 	}
-	for _, want := range []string{"shears.run", "world.build", "campaign", "round"} {
+	for _, want := range []string{"shears.run", "world.build", "snapshot.follow", "campaign", "round", "tix.build", "snapshot.write"} {
 		if !names[want] {
 			t.Errorf("chrome trace lacks %q span", want)
 		}
@@ -464,5 +470,184 @@ func TestRunResumeErrors(t *testing.T) {
 	err = run(options{out: dir, probes: 200, seed: 9, days: 1, quiet: true, resume: true})
 	if err == nil || !strings.Contains(err.Error(), "different campaign") {
 		t.Fatalf("fingerprint mismatch not refused: %v", err)
+	}
+}
+
+// figureCSVs are the CSV artifacts the byte-identity tests compare.
+var figureCSVs = []string{"figure1.csv", "figure4.csv", "figure5.csv", "figure6.csv", "figure7.csv", "figure8.csv"}
+
+// coldReference copies the finished store at dir into a fresh
+// directory and analyzes it with no snapshot in sight. It returns the
+// snapshot a fresh core.ScanStoreSnap writes there and a directory
+// holding the CSVs rendered from a cold core.ScanStore.
+func coldReference(t *testing.T, dir string, o options) (snapBytes []byte, csvDir string) {
+	t.Helper()
+	ref := filepath.Join(t.TempDir(), "ref")
+	if err := os.MkdirAll(ref, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"meta.json", "samples.bin"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(ref, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := world.Build(world.Config{Seed: o.seed, Probes: o.probes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := results.Open(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := atlas.TestCampaign()
+	ctx := context.Background()
+	if _, _, err := core.ScanStoreSnap(ctx, store, w.Index, cfg.Start, binWidth, o.workers, nil,
+		core.SnapshotOptions{Path: store.SnapshotPath()}); err != nil {
+		t.Fatal(err)
+	}
+	if snapBytes, err = os.ReadFile(store.SnapshotPath()); err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := core.ScanStore(ctx, store, w.Index, cfg.Start, binWidth, o.workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvDir = filepath.Join(t.TempDir(), "figs")
+	if err := writeArtifacts(csvDir, rep, cfg, obs.NewTrace("reference")); err != nil {
+		t.Fatal(err)
+	}
+	return snapBytes, csvDir
+}
+
+// sameFiles fails the test unless dirs a and b hold byte-equal copies
+// of every named file.
+func sameFiles(t *testing.T, what, a, b string, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		x, err := os.ReadFile(filepath.Join(a, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := os.ReadFile(filepath.Join(b, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(x, y) {
+			t.Errorf("%s: %s differs (%d vs %d bytes)", what, name, len(x), len(y))
+		}
+	}
+}
+
+// TestRunSnapshotMatchesColdScan pins the resident follower's output:
+// the snapshot a checkpointing run writes once at the end equals the
+// one a fresh scan writes over the finished store, and the figure CSVs
+// rendered from the resident state equal a cold scan's, at any worker
+// count.
+func TestRunSnapshotMatchesColdScan(t *testing.T) {
+	for _, workers := range []int{1, 7} {
+		o := options{
+			out: filepath.Join(t.TempDir(), "ds"), figDir: filepath.Join(t.TempDir(), "figs"),
+			probes: 200, seed: 3, days: 4, quiet: true, workers: workers,
+			checkpointEvery: 4, logDst: io.Discard,
+		}
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(o.out, "samples.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, csvDir := coldReference(t, o.out, o)
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: samples.snap differs from a fresh scan's (%d vs %d bytes)", workers, len(got), len(want))
+		}
+		sameFiles(t, fmt.Sprintf("workers=%d", workers), o.figDir, csvDir, figureCSVs...)
+	}
+}
+
+// TestRunResumeMatchesUninterrupted cancels a checkpointing campaign
+// mid-run and resumes it: the interrupted run leaves a snapshot of its
+// folded prefix that seeds the rerun, and the resumed run ends with the
+// same samples.snap and CSV bytes as a run that never stopped.
+func TestRunResumeMatchesUninterrupted(t *testing.T) {
+	base := options{probes: 200, seed: 3, days: 4, quiet: true, workers: 2, checkpointEvery: 4, logDst: io.Discard}
+
+	ref := base
+	ref.out, ref.figDir = filepath.Join(t.TempDir(), "ds"), filepath.Join(t.TempDir(), "figs")
+	if err := run(ref); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cut := base
+	cut.out, cut.figDir = filepath.Join(t.TempDir(), "ds"), filepath.Join(t.TempDir(), "figs")
+	cut.ctx = ctx
+	cut.onRound = func(round int, _ uint64) {
+		if round == 13 { // after the checkpoints at rounds 3, 7 and 11
+			cancel()
+		}
+	}
+	if err := run(cut); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	if _, err := os.Stat(filepath.Join(cut.out, checkpointFile)); err != nil {
+		t.Fatalf("interrupted run left no checkpoint: %v", err)
+	}
+
+	resumed := cut
+	resumed.ctx, resumed.onRound, resumed.resume = nil, nil, true
+	resumed.reg = obs.NewRegistry()
+	if err := run(resumed); err != nil {
+		t.Fatal(err)
+	}
+	if hits := snap.NewMetrics(resumed.reg).Hits.Value(); hits != 1 {
+		t.Errorf("resumed run: snap_hits_total = %d, want 1 (seeded from the interrupted run's snapshot)", hits)
+	}
+	sameFiles(t, "resumed", ref.out, resumed.out, "samples.bin", "samples.snap")
+	sameFiles(t, "resumed", ref.figDir, resumed.figDir, figureCSVs...)
+}
+
+// TestRunQuietWritesSnapshot checks that a -quiet run with no figure
+// output still leaves a snapshot covering the whole store, written
+// exactly once — from the resident state with and without checkpoints,
+// and through the rescan fallback on a JSONL store: a later scan is
+// then a pure hit that decodes nothing.
+func TestRunQuietWritesSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		format, snapshot string
+		every            int
+	}{{"", "", 0}, {"", "", 4}, {"jsonl", "on", 4}} {
+		o := options{
+			out: filepath.Join(t.TempDir(), "ds"), probes: 200, seed: 1, days: 2, quiet: true,
+			format: tc.format, snapshot: tc.snapshot, checkpointEvery: tc.every,
+			reg: obs.NewRegistry(), logDst: io.Discard,
+		}
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		if writes := snap.NewMetrics(o.reg).Writes.Value(); writes != 1 {
+			t.Errorf("%+v: snap_writes_total = %d, want 1", tc, writes)
+		}
+		w, err := world.Build(world.Config{Seed: o.seed, Probes: o.probes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := results.Open(o.out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := core.ScanStoreSnap(context.Background(), store, w.Index, atlas.TestCampaign().Start, binWidth, 2, nil,
+			core.SnapshotOptions{Path: store.SnapshotPath()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Samples != 0 || st.BlocksRead != 0 {
+			t.Errorf("%+v: scan after the run decoded %d samples in %d blocks, want a pure hit", tc, st.Samples, st.BlocksRead)
+		}
 	}
 }

@@ -12,16 +12,19 @@ import (
 	"repro/internal/scan"
 )
 
-// HotSuite is the suite held resident for query serving: the merged
+// HotSuite is the suite held resident while a store grows: the merged
 // pass state over the store prefix scanned so far, advanced
 // incrementally as the campaign appends. Unlike ScanStoreSnap — which
 // reopens the store, replays the snapshot, and rescans the suffix on
 // every call — a HotSuite pays the seed cost once and each Advance
 // folds only the blocks written since the previous one, so steady-state
-// refresh cost tracks the append rate, not the store size.
+// refresh cost tracks the append rate, not the store size. atlasd's
+// serving engine and the shears campaign driver both keep one.
 //
-// A HotSuite is not safe for concurrent use; the serving layer advances
-// it from a single refresher goroutine and publishes immutable reports.
+// A HotSuite is not safe for concurrent use; each owner advances it
+// from a single goroutine (the serving refresher, the campaign
+// follower) and reads reports only from that goroutine or after it
+// stops.
 type HotSuite struct {
 	idx      *Index
 	start    time.Time
@@ -112,6 +115,22 @@ func (h *HotSuite) Report() (*SuiteReport, error) {
 		return nil, ErrEmptyStore
 	}
 	return h.suite.Report()
+}
+
+// WriteSnapshot persists the resident state to so.Path as a snapshot
+// covering exactly the folded prefix — the same bytes ScanStoreSnap
+// writes after scanning that prefix. Call it before Report: the
+// snapshot must capture the pre-report state a future merge replays
+// from. An empty suite returns ErrEmptyStore and writes nothing.
+func (h *HotSuite) WriteSnapshot(store *results.Store, so SnapshotOptions) error {
+	if so.Path == "" {
+		return errors.New("core: WriteSnapshot needs a snapshot path")
+	}
+	if h.samples == 0 {
+		return ErrEmptyStore
+	}
+	return writeSnapshot(so.Path, store, h.idx, h.start, h.binWidth, h.suite, h.samples,
+		scan.Resume{Bytes: h.coveredBytes, Blocks: h.coveredBlocks}, so)
 }
 
 // Covered reports the store prefix the resident state summarizes.

@@ -765,30 +765,30 @@ func loadSnapshot(path string, store *results.Store, idx *Index, start time.Time
 	return suite, h.Samples, &scan.Resume{Bytes: h.CoveredBytes, Blocks: h.CoveredBlocks}
 }
 
-// writeSnapshot atomically persists merged's state as covering the
-// store prefix the scan just consumed.
-func writeSnapshot(path string, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, merged *Suite, samples uint64, st scan.Stats, so SnapshotOptions) error {
+// writeSnapshot atomically persists merged's state, pre-sorted, as
+// covering the store prefix cov (its byte boundary and, for binary
+// stores, its block count).
+func writeSnapshot(path string, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, merged *Suite, samples uint64, cov scan.Resume, so SnapshotOptions) error {
+	merged.sortState()
 	f, err := os.Open(store.SamplesPath())
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	head, tail, err := snap.WindowCRCs(f, st.DataEnd)
+	head, tail, err := snap.WindowCRCs(f, cov.Bytes)
 	if err != nil {
 		return err
 	}
 	h := snap.Header{
-		PassSet:      passSetID(start, binWidth),
-		Index:        idx.Fingerprint(),
-		Meta:         MetaFingerprint(store.Meta()),
-		Format:       snapFormat(store.Format()),
-		CoveredBytes: st.DataEnd,
-		Samples:      samples,
-		HeadCRC:      head,
-		TailCRC:      tail,
-	}
-	if st.Binary {
-		h.CoveredBlocks = st.BlocksTotal
+		PassSet:       passSetID(start, binWidth),
+		Index:         idx.Fingerprint(),
+		Meta:          MetaFingerprint(store.Meta()),
+		Format:        snapFormat(store.Format()),
+		CoveredBytes:  cov.Bytes,
+		CoveredBlocks: cov.Blocks,
+		Samples:       samples,
+		HeadCRC:       head,
+		TailCRC:       tail,
 	}
 	if err := snap.WriteFile(path, h, merged.EncodeState()); err != nil {
 		return err
@@ -869,8 +869,11 @@ func scanStoreMerged(ctx context.Context, store *results.Store, idx *Index, star
 		refresh = false
 	}
 	if refresh {
-		merged.sortState()
-		if err := writeSnapshot(so.Path, store, idx, start, binWidth, merged, total, st, so); err != nil {
+		cov := scan.Resume{Bytes: st.DataEnd}
+		if st.Binary {
+			cov.Blocks = st.BlocksTotal
+		}
+		if err := writeSnapshot(so.Path, store, idx, start, binWidth, merged, total, cov, so); err != nil {
 			return nil, 0, st, fmt.Errorf("core: writing snapshot: %w", err)
 		}
 	}
@@ -895,8 +898,10 @@ func ScanStoreSnap(ctx context.Context, store *results.Store, idx *Index, start 
 }
 
 // UpdateSnapshot refreshes the store's snapshot without producing a
-// report — the engine calls it at each checkpoint so a later figure run
-// starts from the freshest covered boundary. An empty store is a no-op.
+// report, so a later figure run starts from the freshest covered
+// boundary — for callers that hold no resident HotSuite, such as a
+// checkpoint hook that rescans or a report-less run over a JSONL store.
+// An empty store is a no-op.
 func UpdateSnapshot(ctx context.Context, store *results.Store, idx *Index, start time.Time, binWidth time.Duration, workers int, m *scan.Metrics, so SnapshotOptions) (scan.Stats, error) {
 	if so.Path == "" {
 		return scan.Stats{}, errors.New("core: UpdateSnapshot needs a snapshot path")

@@ -54,9 +54,10 @@ func (c *Checkpoint) Validate() error {
 	return nil
 }
 
-// Save atomically writes the checkpoint: a temp file in the same
-// directory followed by a rename, so a crash mid-write leaves the
-// previous checkpoint intact.
+// Save atomically and durably writes the checkpoint: a temp file in the
+// same directory, fsynced before it is renamed over path, then an fsync
+// of the directory. A crash or power loss at any point leaves either the
+// previous checkpoint or the new one — never an empty or torn file.
 func (c *Checkpoint) Save(path string) error {
 	if err := c.Validate(); err != nil {
 		return err
@@ -74,6 +75,11 @@ func (c *Checkpoint) Save(path string) error {
 		os.Remove(tmp.Name())
 		return err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
 		return err
@@ -82,7 +88,20 @@ func (c *Checkpoint) Save(path string) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return nil
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory so a rename inside it survives power loss.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // ErrNoCheckpoint reports that a resume was requested but no checkpoint

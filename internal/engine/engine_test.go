@@ -314,6 +314,44 @@ func TestCheckpointSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointSaveReplaces pins Save's replace-in-place contract: a
+// second checkpoint over an existing one leaves exactly checkpoint.json
+// in the directory (no temp file survives the rename), and it loads
+// back equal to what was saved.
+func TestCheckpointSaveReplaces(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "checkpoint.json")
+	first := Checkpoint{Version: 1, Fingerprint: "abc", Workers: 2, Round: 3, Samples: 40, SinkOffset: 512}
+	if err := first.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	second := Checkpoint{
+		Version: 1, Fingerprint: "abc", Workers: 2, Round: 7, Samples: 80, SinkOffset: 1024,
+		Shards: []ShardMark{{0, 7}, {1, 7}},
+	}
+	if err := second.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "checkpoint.json" {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("directory holds %v, want only checkpoint.json", names)
+	}
+	got, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*got, second) {
+		t.Fatalf("reloaded %+v, want %+v", got, second)
+	}
+}
+
 func TestTransientMarking(t *testing.T) {
 	if Transient(nil) != nil {
 		t.Fatal("Transient(nil) != nil")

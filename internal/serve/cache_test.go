@@ -10,28 +10,29 @@ import (
 func TestCacheCoalesce(t *testing.T) {
 	c := newCache()
 	block := make(chan struct{})
+	entered := make(chan struct{}, 1)
 	var fills atomic.Int32
 	fill := func() (*response, error) {
 		fills.Add(1)
+		entered <- struct{}{}
 		<-block
 		return &response{status: 200, body: []byte("x")}, nil
 	}
 
 	// Leader enters the fill and blocks; followers must wait on it, not
-	// run their own.
+	// run their own. They start only once the leader is inside the fill,
+	// so none of them can win the race to lead.
 	var wg sync.WaitGroup
 	var waitedCount atomic.Int32
-	started := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		close(started)
 		resp, err, hit, waited := c.do("k", fill)
 		if err != nil || hit || waited || string(resp.body) != "x" {
 			t.Errorf("leader: resp=%v err=%v hit=%v waited=%v", resp, err, hit, waited)
 		}
 	}()
-	<-started
+	<-entered
 	for i := 0; i < 5; i++ {
 		wg.Add(1)
 		go func() {

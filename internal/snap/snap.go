@@ -206,8 +206,9 @@ func Decode(data []byte) (Header, []byte, error) {
 }
 
 // WriteFile atomically replaces path with the encoded snapshot: write
-// to a temp file in the same directory, fsync, rename. A crash leaves
-// either the old snapshot or the new one, never a torn file.
+// to a temp file in the same directory, fsync, rename, fsync the
+// directory. A crash leaves either the old snapshot or the new one,
+// never a torn file, and the rename itself survives power loss.
 func WriteFile(path string, h Header, payload []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
 	if err != nil {
@@ -225,7 +226,23 @@ func WriteFile(path string, h Header, payload []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory so a rename inside it survives power loss.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // ReadFile loads and decodes the snapshot at path. A missing file is

@@ -39,6 +39,14 @@ go test -race -count=1 ./internal/scan ./internal/core ./internal/engine ./inter
 echo "== go test -race =="
 go test -race ./...
 
+echo "== perfbench (separate module) =="
+# perfbench is its own Go module (it imports this one through a
+# replace), so the root go vet and go test never enter it. Vet and test
+# it here so an exported API the benchmark depends on
+# (core.UpdateSnapshot, core.ScanStoreSnap, serve.Engine) cannot break
+# silently.
+(cd perfbench && go vet . && go test -count=1 .)
+
 echo "== fuzz smoke =="
 # Short fuzz bursts over the decode boundaries: the columnar block
 # codec (round-trip + corruption), the JSONL fast-path decoder
