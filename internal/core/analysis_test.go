@@ -86,6 +86,57 @@ func TestIndexValidation(t *testing.T) {
 	}
 }
 
+// TestIndexDenseTable pins the dense probe-ID table to the map it
+// accelerates: every population probe resolves identically through
+// both, and IDs the table does not cover — zero, negative, past its
+// end — answer exactly as the map does. A sparse population keeps the
+// map alone.
+func TestIndexDenseTable(t *testing.T) {
+	f := dataset(t)
+	if f.idx.dense == nil {
+		t.Fatal("generated population (IDs 1..N) built no dense table")
+	}
+	check := func(idx *Index, id int) {
+		t.Helper()
+		info, inMap := idx.byProbe[id]
+		if got := idx.Known(id); got != inMap {
+			t.Fatalf("Known(%d) = %v, map says %v", id, got, inMap)
+		}
+		ct, ok := idx.Continent(id)
+		if ok != inMap || ct != info.continent {
+			t.Fatalf("Continent(%d) = %v, %v; map says %v, %v", id, ct, ok, info.continent, inMap)
+		}
+	}
+	for _, p := range f.pop.All() {
+		check(f.idx, p.ID)
+	}
+	n := len(f.idx.dense)
+	for _, id := range []int{0, -1, -n, n - 1, n, n + 1, 1 << 40, -(1 << 40)} {
+		check(f.idx, id)
+	}
+
+	sparse, err := probe.NewPopulation([]*probe.Probe{
+		{ID: 1, Country: "DE", Continent: geo.Europe, Tier: geo.Tier1},
+		{ID: 1 << 30, Country: "JP", Continent: geo.Asia, Tier: geo.Tier1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sidx, err := NewIndex(sparse, geo.World())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sidx.dense != nil {
+		t.Fatalf("sparse IDs built a %d-entry dense table", len(sidx.dense))
+	}
+	for _, id := range []int{0, 1, 2, 1 << 30, -1} {
+		check(sidx, id)
+	}
+	if ct, ok := sidx.Continent(1 << 30); !ok || ct != geo.Asia {
+		t.Fatalf("sparse Continent(1<<30) = %v, %v", ct, ok)
+	}
+}
+
 func TestThresholds(t *testing.T) {
 	ths := Thresholds()
 	if len(ths) != 3 || ths[0].Ms != MTPms || ths[1].Ms != PLms || ths[2].Ms != HRTms {

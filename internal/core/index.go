@@ -42,7 +42,19 @@ func (a AccessClass) String() string {
 type Index struct {
 	db      *geo.DB
 	byProbe map[int]probeInfo
+	// dense answers Known and Continent for IDs 0..len-1 without a map
+	// lookup — the per-probe-run resolution every windowed fold does.
+	// dense[id] is the probe's continent plus one, 0 for an ID outside
+	// the analysis set. It is nil when the IDs are too sparse to table;
+	// IDs past it, negative IDs included, fall through to byProbe.
+	dense []uint8
 }
+
+// maxDenseWaste bounds how sparse the probe IDs may be for NewIndex to
+// table them: the table may be at most this many times the probe count
+// (plus a small floor), so a population with a few huge IDs keeps
+// the map alone instead of allocating for the gaps.
+const maxDenseWaste = 4
 
 type probeInfo struct {
 	country   string
@@ -70,11 +82,35 @@ func NewIndex(pop *probe.Population, db *geo.DB) (*Index, error) {
 		}
 		idx.byProbe[p.ID] = info
 	}
+	idx.dense = denseContinents(idx.byProbe)
 	return idx, nil
+}
+
+// denseContinents tables byProbe's continents by probe ID (see
+// Index.dense), or returns nil when the IDs are negative or sparse.
+func denseContinents(byProbe map[int]probeInfo) []uint8 {
+	maxID := -1
+	for id := range byProbe {
+		if id < 0 {
+			return nil
+		}
+		maxID = max(maxID, id)
+	}
+	if maxID < 0 || maxID >= maxDenseWaste*len(byProbe)+64 {
+		return nil
+	}
+	dense := make([]uint8, maxID+1)
+	for id, info := range byProbe {
+		dense[id] = uint8(info.continent) + 1
+	}
+	return dense
 }
 
 // Known reports whether the probe is part of the analysis set.
 func (idx *Index) Known(probeID int) bool {
+	if uint(probeID) < uint(len(idx.dense)) {
+		return idx.dense[probeID] != 0
+	}
 	_, ok := idx.byProbe[probeID]
 	return ok
 }
@@ -87,6 +123,12 @@ func (idx *Index) Country(probeID int) (string, bool) {
 
 // Continent returns the probe's continent.
 func (idx *Index) Continent(probeID int) (geo.Continent, bool) {
+	if uint(probeID) < uint(len(idx.dense)) {
+		if c := idx.dense[probeID]; c != 0 {
+			return geo.Continent(c - 1), true
+		}
+		return geo.ContinentUnknown, false
+	}
 	info, ok := idx.byProbe[probeID]
 	return info.continent, ok
 }

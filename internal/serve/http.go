@@ -233,11 +233,15 @@ func (e *Engine) handleQuantile(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := e.fillContext(r)
 		defer cancel()
 		e.serveCached(w, r, key, func() (*response, error) {
+			t0 := time.Now()
 			wrep, err := e.windowReport(ctx, v, pred)
 			if err != nil {
 				return nil, err
 			}
-			return render(wrep)
+			t1 := e.observeFill("compose", t0)
+			resp, err := render(wrep)
+			e.observeFill("encode", t1)
+			return resp, err
 		})
 		return
 	}
@@ -317,73 +321,135 @@ func (e *Engine) handleCDF(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := e.fillContext(r)
 	defer cancel()
 	e.serveCached(w, r, key, func() (*response, error) {
-		rep, err := e.windowReport(ctx, v, pred)
+		t0 := time.Now()
+		cts, err := e.windowCurves(ctx, v, pred)
 		if err != nil {
 			return nil, err
 		}
-		body := cdfBody{Snapshot: v.fingerprint}
+		t1 := e.observeFill("compose", t0)
+		body := cdfBody{Snapshot: v.fingerprint, Continents: cts}
 		if !since.IsZero() {
 			body.Since = since.Format(time.RFC3339)
 		}
 		if !until.IsZero() {
 			body.Until = until.Format(time.RFC3339)
 		}
-		grid := core.DefaultGrid()
-		for _, ct := range rep.Continents() {
-			d, _ := rep.Dist(ct)
-			curve, err := rep.Curve(ct, grid)
-			if err != nil {
-				return nil, err
-			}
-			body.Continents = append(body.Continents, cdfDTO{
-				Continent: ct.String(), Code: ct.Code(), Samples: d.N(), Curve: curve,
-			})
+		// ~40 bytes per curve point sizes the body in one allocation.
+		size := 256
+		for _, c := range cts {
+			size += 40 * len(c.Curve)
 		}
-		return jsonResponse(body, v.fingerprint)
+		buf := appendCDFBody(make([]byte, 0, size), &body)
+		resp := &response{
+			status:      http.StatusOK,
+			contentType: "application/json",
+			etag:        etagFor(v.fingerprint),
+			body:        append(buf, '\n'),
+		}
+		e.observeFill("encode", t1)
+		return resp, nil
 	})
 }
 
-// windowReport materializes one [since, until) window. The fast path
-// composes the published temporal index view: O(log n) pre-merged
-// segment nodes plus a batch decode of only the boundary blocks,
-// yielding the same sample multiset a scan would — so every rank query
-// downstream, and therefore the response bytes, are identical either
-// way. Without an index view (disabled, invalidated, or its query
-// failed) the window falls back to the predicate-pushdown block scan.
-// A deadline expiry counts a fill timeout and propagates — the
-// fallback scan would blow the same deadline.
-func (e *Engine) windowReport(ctx context.Context, v *snapshotView, pred *colf.Predicate) (*core.CDFReport, error) {
-	m := e.opt.Metrics.nilSafe()
-	if v.tixView != nil {
-		res, err := v.tixView.Query(ctx, e.f, v.blocks, pred.Since, pred.Until, e.idx)
-		if err == nil {
-			m.WindowIndexQueries.Inc()
-			m.WindowIndexNodes.Add(uint64(res.Stats.Nodes))
-			m.WindowIndexEdgeBlocks.Add(uint64(res.Stats.EdgeBlocks))
-			rep := core.CDFReportFromDists(res.ByContinent)
-			// The composed curve counts make /cdf rendering O(grid) per
-			// continent — the samples are never swept on this path.
-			rep.SetCurves(tix.Grid(), res.Curves())
-			return rep, nil
+// observeFill records one windowed-fill phase that began at t0 and
+// returns the time it ended, where the next phase begins.
+func (e *Engine) observeFill(phase string, t0 time.Time) time.Time {
+	now := time.Now()
+	e.opt.Metrics.nilSafe().WindowFillSeconds.With(phase).Observe(now.Sub(t0).Seconds())
+	return now
+}
+
+// windowCurves materializes the /cdf rows of one [since, until) window:
+// per continent with data, in canonical order, its sample count and
+// CDF curve over core.DefaultGrid. Through the index it composes
+// resident curve summaries (View.QueryCurves) — no slab read, no
+// sample merge; the fallback scan sweeps the scanned distributions.
+// Either way the rows, and so the response bytes, are identical.
+func (e *Engine) windowCurves(ctx context.Context, v *snapshotView, pred *colf.Predicate) ([]cdfDTO, error) {
+	res, err := e.indexQuery(ctx, v, pred, true)
+	if err != nil {
+		return nil, err
+	}
+	var out []cdfDTO
+	if res != nil {
+		curves := res.Curves()
+		for _, ct := range geo.Continents() {
+			if n := res.N[ct]; n > 0 {
+				out = append(out, cdfDTO{Continent: ct.String(), Code: ct.Code(), Samples: n, Curve: curves[ct]})
+			}
 		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			m.FillTimeouts.Inc()
-			return nil, err
-		}
-		m.WindowIndexFallbacks.Inc()
-		e.opt.Log.Warn("temporal index query failed; falling back to scan", "error", err)
+		return out, nil
 	}
 	rep, err := e.windowCDF(ctx, v, pred)
-	if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
-		m.FillTimeouts.Inc()
+	if err != nil {
+		return nil, err
 	}
-	return rep, err
+	grid := core.DefaultGrid()
+	for _, ct := range rep.Continents() {
+		d, _ := rep.Dist(ct)
+		curve, err := rep.Curve(ct, grid)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, cdfDTO{Continent: ct.String(), Code: ct.Code(), Samples: d.N(), Curve: curve})
+	}
+	return out, nil
+}
+
+// windowReport materializes one [since, until) window's distributions
+// for the windowed /quantile. The fast path composes the published
+// temporal index view: O(log n) pre-merged segment nodes plus a batch
+// decode of only the boundary blocks, yielding the same sample
+// multiset a scan would — so every rank query downstream, and
+// therefore the response bytes, are identical either way.
+func (e *Engine) windowReport(ctx context.Context, v *snapshotView, pred *colf.Predicate) (*core.CDFReport, error) {
+	res, err := e.indexQuery(ctx, v, pred, false)
+	if err != nil {
+		return nil, err
+	}
+	if res != nil {
+		return core.CDFReportFromDists(res.ByContinent), nil
+	}
+	return e.windowCDF(ctx, v, pred)
+}
+
+// indexQuery composes a window through the published index view —
+// curves only (View.QueryCurves) or with distributions (View.Query) —
+// counting the window-index metrics. A nil result with a nil error
+// tells the caller to scan instead: there is no index view (disabled,
+// invalidated) or its query failed. A deadline expiry counts a fill
+// timeout and propagates — the fallback scan would blow the same
+// deadline.
+func (e *Engine) indexQuery(ctx context.Context, v *snapshotView, pred *colf.Predicate, curves bool) (*tix.Result, error) {
+	if v.tixView == nil {
+		return nil, nil
+	}
+	query := v.tixView.Query
+	if curves {
+		query = v.tixView.QueryCurves
+	}
+	m := e.opt.Metrics.nilSafe()
+	res, err := query(ctx, e.f, v.blocks, pred.Since, pred.Until, e.idx)
+	if err == nil {
+		m.WindowIndexQueries.Inc()
+		m.WindowIndexNodes.Add(uint64(res.Stats.Nodes))
+		m.WindowIndexEdgeBlocks.Add(uint64(res.Stats.EdgeBlocks))
+		return res, nil
+	}
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		m.FillTimeouts.Inc()
+		return nil, err
+	}
+	m.WindowIndexFallbacks.Inc()
+	e.opt.Log.Warn("temporal index query failed; falling back to scan", "error", err)
+	return nil, nil
 }
 
 // windowCDF runs the one request-path scan the serving layer allows: a
 // predicate-pushdown pass over the published snapshot's block list.
 // Zone maps skip blocks wholly outside the window, so the cost tracks
-// the window size, not the store size.
+// the window size, not the store size. A deadline expiry counts a fill
+// timeout.
 func (e *Engine) windowCDF(ctx context.Context, v *snapshotView, pred *colf.Predicate) (*core.CDFReport, error) {
 	e.opt.Metrics.nilSafe().RequestScans.Inc()
 	var passes []*core.WindowCDFPass
@@ -400,6 +466,9 @@ func (e *Engine) windowCDF(ctx context.Context, v *snapshotView, pred *colf.Pred
 	}
 	size := blockEnd(v.blocks)
 	if _, err := scan.Blocks(ctx, cfg, e.f, size, v.blocks, 0, colf.HeaderSize); err != nil {
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			e.opt.Metrics.nilSafe().FillTimeouts.Inc()
+		}
 		return nil, err
 	}
 	// The scan merged every worker into the worker-0 pass.

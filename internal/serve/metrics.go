@@ -47,6 +47,10 @@ type Metrics struct {
 	// WindowIndexFallbacks counts windowed requests that had a live
 	// index view but fell back to scanning after a query error.
 	WindowIndexFallbacks *obs.Counter
+	// WindowFillSeconds times the two phases of a windowed cache fill:
+	// compose (index composition or fallback scan) and encode (response
+	// rendering), so a slow fill shows which half it spent in.
+	WindowFillSeconds *obs.HistogramVec // phase
 	// Refreshes counts snapshot advances published by the refresher.
 	Refreshes *obs.Counter
 	// RefreshErrors counts refresher passes that failed and kept the
@@ -92,6 +96,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Boundary blocks decoded across index-served windows."),
 		WindowIndexFallbacks: reg.Counter("serve_window_index_fallbacks_total",
 			"Windowed requests that fell back from the index to a block scan."),
+		WindowFillSeconds: reg.HistogramVec("serve_window_fill_seconds",
+			"Windowed cache fill latency by phase (compose, encode).", obs.DurationBuckets, "phase"),
 		Refreshes: reg.Counter("serve_refresh_total",
 			"Snapshot advances published by the refresher."),
 		RefreshErrors: reg.Counter("serve_refresh_errors_total",

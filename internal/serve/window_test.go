@@ -128,6 +128,16 @@ func TestServeWindowedIndexByteIdentity(t *testing.T) {
 	if got := scanM.RequestScans.Value(); got == 0 {
 		t.Fatal("scan engine never scanned")
 	}
+	// Every distinct window was one cache fill, timed in both phases on
+	// both paths.
+	for name, m := range map[string]*Metrics{"scan": scanM, "tix": tixM} {
+		for _, phase := range []string{"compose", "encode"} {
+			if got := m.WindowFillSeconds.With(phase).Count(); got != uint64(len(wins)) {
+				t.Fatalf("%s engine: serve_window_fill_seconds{phase=%q} counted %d fills, want %d",
+					name, phase, got, len(wins))
+			}
+		}
+	}
 }
 
 // TestServeWindowedQuantile covers the new windowed /quantile variant:

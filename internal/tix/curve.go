@@ -1,6 +1,10 @@
 package tix
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/geo"
+)
 
 // Curve pre-aggregates. Every node stores, per continent, how many of
 // its samples fall into each integer-millisecond bin of the fixed
@@ -41,4 +45,53 @@ func curveBin(v float64) int {
 		k = 0
 	}
 	return k
+}
+
+// continentSlots sizes the per-continent arrays of a curveSet, which
+// index by geo.Continent directly; node decoding rejects continent
+// bytes that name no continent, so every stored index fits.
+const continentSlots = int(geo.SouthAmerica) + 1
+
+// curveSet is the curve half of a node or window aggregate: per
+// continent, the resolved sample count N (samples past the grid
+// included) and the per-bin sample counts on the grid. counts[ct] is
+// non-nil exactly when n[ct] > 0. It is all /cdf needs, so a window
+// composed from curve sets alone touches no sample buffer.
+type curveSet struct {
+	n      [continentSlots]uint64
+	counts [continentSlots][]uint64
+}
+
+// bins returns ct's count vector, creating it on first use.
+func (cs *curveSet) bins(ct geo.Continent) []uint64 {
+	c := cs.counts[ct]
+	if c == nil {
+		c = make([]uint64, curveBins)
+		cs.counts[ct] = c
+	}
+	return c
+}
+
+// observe counts one resolved sample v of continent ct.
+func (cs *curveSet) observe(ct geo.Continent, v float64) {
+	cnt := cs.bins(ct)
+	cs.n[ct]++
+	if k := curveBin(v); k >= 0 {
+		cnt[k]++
+	}
+}
+
+// add folds o into cs by integer vector addition; o is left untouched
+// and no slice of it is adopted, so resident summaries stay immutable.
+func (cs *curveSet) add(o *curveSet) {
+	for ct, oc := range o.counts {
+		if oc == nil {
+			continue
+		}
+		cs.n[ct] += o.n[ct]
+		c := cs.bins(geo.Continent(ct))
+		for k, x := range oc {
+			c[k] += x
+		}
+	}
 }

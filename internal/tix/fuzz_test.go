@@ -19,14 +19,11 @@ func fuzzSeedPayloads(t testing.TB) [][]byte {
 	}
 	add := func(ns *nodeState, ct geo.Continent, vals ...float64) {
 		d := &stats.Dist{}
-		cnt := ns.bins(ct)
 		for _, v := range vals {
 			if err := d.Add(v); err != nil {
 				t.Fatal(err)
 			}
-			if k := curveBin(v); k >= 0 {
-				cnt[k]++
-			}
+			ns.curves.observe(ct, v)
 		}
 		ns.dists[ct] = d
 	}
@@ -92,7 +89,8 @@ func FuzzNodeRoundTrip(f *testing.F) {
 			if n1 == 0 {
 				continue
 			}
-			if !slices.Equal(ns.counts[ct], ns2.counts[ct]) {
+			if !slices.Equal(ns.curves.counts[ct], ns2.curves.counts[ct]) ||
+				ns.curves.n[ct] != uint64(n1) || ns2.curves.n[ct] != uint64(n2) {
 				t.Fatalf("%v: curve counts drift across re-encode", ct)
 			}
 			for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {

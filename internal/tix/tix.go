@@ -45,12 +45,23 @@
 // pre-aggregate — per-bin sample counts on the fixed figure grid (see
 // curve.go) — so the dense CDF curve a window renders composes by
 // integer addition instead of a pass over the samples.
+//
+// # What stays resident
+//
+// An opened index keeps, per stored node, its directory entry plus its
+// curve summary: the per-continent sample count N and the curve count
+// vector, decoded once at open (after the record's CRC checks) or taken
+// from the merged state when Extend writes the node. Windowed CDFs
+// (View.QueryCurves) compose from those summaries alone and never read
+// the sidecar; only rank queries (View.Query — windowed quantiles, the
+// dataset window op) read node slabs back, CRC re-verified per read.
 package tix
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 
@@ -113,8 +124,9 @@ type nodeKey struct {
 }
 
 // nodeRef is the in-memory directory entry for one validated node:
-// where its record payload sits in the sidecar and what it covers.
-// Payloads are read back lazily per query; only refs stay resident.
+// where its record payload sits in the sidecar, what it covers, and its
+// resident curve summary. Slabs are read back lazily per rank query;
+// refs plus curve summaries stay resident.
 type nodeRef struct {
 	level            int
 	start            int
@@ -122,6 +134,9 @@ type nodeRef struct {
 	rows, delivered  uint64
 	payloadOff       int64 // file offset of the record payload
 	payloadLen       int
+	// curves is the node's curve summary; immutable once the ref is
+	// stored, so views share it.
+	curves *curveSet
 }
 
 // blocks returns the node's covered block count.
@@ -232,7 +247,10 @@ func (ix *Index) load(blocks []colf.BlockInfo) error {
 			if !sawHeader {
 				return reset("node before header")
 			}
-			ref, err := decodeNodeRef(payload)
+			// The full decode validates the curve section the summary
+			// is taken from; the distributions it yields alias buf and
+			// are dropped here.
+			ref, ns, err := decodeNodeState(payload)
 			if err != nil {
 				return truncate("corrupt node: "+err.Error(), off)
 			}
@@ -241,6 +259,8 @@ func (ix *Index) load(blocks []colf.BlockInfo) error {
 			}
 			ref.payloadOff = off + 4
 			ref.payloadLen = int(n)
+			curves := ns.curves // a copy: ns's dists pin buf
+			ref.curves = &curves
 			ix.nodes[nodeKey{ref.level, ref.start}] = ref
 			if end := ref.start + ref.blocks(); end > ix.frontier {
 				ix.frontier = end
@@ -327,24 +347,11 @@ func decodeHeader(payload []byte) (Binding, error) {
 type nodeState struct {
 	rows, delivered uint64
 	dists           map[geo.Continent]*stats.Dist
-	counts          map[geo.Continent][]uint64
+	curves          curveSet
 }
 
 func newNodeState() *nodeState {
-	return &nodeState{
-		dists:  make(map[geo.Continent]*stats.Dist),
-		counts: make(map[geo.Continent][]uint64),
-	}
-}
-
-// bins returns ct's curve count vector, creating it on first use.
-func (ns *nodeState) bins(ct geo.Continent) []uint64 {
-	c := ns.counts[ct]
-	if c == nil {
-		c = make([]uint64, curveBins)
-		ns.counts[ct] = c
-	}
-	return c
+	return &nodeState{dists: make(map[geo.Continent]*stats.Dist)}
 }
 
 // merge folds right — covering the blocks after ns's — into ns.
@@ -367,16 +374,7 @@ func (ns *nodeState) merge(right *nodeState) error {
 			return err
 		}
 	}
-	for _, ct := range geo.Continents() {
-		rc := right.counts[ct]
-		if rc == nil {
-			continue
-		}
-		c := ns.bins(ct)
-		for i, x := range rc {
-			c[i] += x
-		}
-	}
+	ns.curves.add(&right.curves)
 	return nil
 }
 
@@ -404,7 +402,7 @@ func encodeNode(level, start int, startOff, endOff int64, ns *nodeState) []byte 
 		d := ns.dists[ct]
 		d.Sort()
 		p = d.AppendState(p)
-		cnt := ns.counts[ct]
+		cnt := ns.curves.counts[ct]
 		p = snap.AppendUvarint(p, curveBins)
 		for k := 0; k < curveBins; k++ {
 			var x uint64
@@ -415,13 +413,6 @@ func encodeNode(level, start int, startOff, endOff int64, ns *nodeState) []byte 
 		}
 	}
 	return p
-}
-
-// decodeNodeRef parses a node payload's fixed fields, skipping the
-// distribution section — what open-time validation needs.
-func decodeNodeRef(payload []byte) (nodeRef, error) {
-	ref, _, err := decodeNodeFixed(payload)
-	return ref, err
 }
 
 // decodeNodeFixed parses the fixed fields and returns the cursor
@@ -522,7 +513,8 @@ func decodeNodeState(payload []byte) (nodeRef, *nodeState, error) {
 		if csum > uint64(d.N()) {
 			return ref, nil, fmt.Errorf("tix: node curve counts %d samples, dist holds %d", csum, d.N())
 		}
-		ns.counts[ct] = cnt
+		ns.curves.n[ct] = uint64(d.N())
+		ns.curves.counts[ct] = cnt
 	}
 	if c.Remaining() != 0 {
 		return ref, nil, fmt.Errorf("tix: %d trailing node bytes", c.Remaining())
@@ -594,46 +586,67 @@ func (ix *Index) leafState(store io.ReaderAt, bi colf.BlockInfo, cls Continents)
 	// blk.Zone is the CRC-verified footer zone — the trusted row totals.
 	ns.rows = uint64(blk.Zone.Rows)
 	ns.delivered = uint64(blk.Zone.Delivered)
-	if err := foldRows(ns, cls, blk, 0, blk.Rows()); err != nil {
+	f := rowFolder{cs: &ns.curves, dists: ns.dists, cls: cls}
+	if err := f.foldRows(blk, 0, blk.Rows()); err != nil {
 		return nil, err
 	}
 	return ns, nil
 }
 
-// foldRows folds the delivered rows [lo, hi) of blk into ns —
-// distribution and curve counts together — resolving the continent
-// once per probe run.
-func foldRows(ns *nodeState, cls Continents, blk *colf.Block, lo, hi int) error {
-	lastProbe := 0
-	var d *stats.Dist
-	var cnt []uint64
+// rowFolder folds delivered samples into a curve set and, unless dists
+// is nil (the curve-only fold), into per-continent distributions,
+// resolving each probe's continent once per run of equal probe IDs.
+// Either way it keeps the sample semantics of core.WindowCDFPass: lost
+// rows and unresolved probes skipped, non-finite RTTs rejected.
+type rowFolder struct {
+	cs    *curveSet
+	dists map[geo.Continent]*stats.Dist
+	cls   Continents
+
+	probe    int // probe of the current run; 0 before the first row
+	ct       geo.Continent
+	resolved bool
+	d        *stats.Dist
+}
+
+// add folds one delivered sample of probe.
+func (f *rowFolder) add(probe int, v float64) error {
+	if probe != f.probe {
+		f.probe, f.resolved, f.d = probe, false, nil
+		if f.cls.Known(probe) {
+			f.ct, f.resolved = f.cls.Continent(probe)
+			// Only real continents have curve slots (and node records).
+			f.resolved = f.resolved && int(f.ct) < continentSlots
+		}
+		if f.resolved && f.dists != nil {
+			if f.d = f.dists[f.ct]; f.d == nil {
+				f.d = &stats.Dist{}
+				f.dists[f.ct] = f.d
+			}
+		}
+	}
+	if !f.resolved {
+		return nil
+	}
+	if f.d != nil {
+		if err := f.d.Add(v); err != nil {
+			return err
+		}
+	} else if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("tix: invalid sample %v", v)
+	}
+	f.cs.observe(f.ct, v)
+	return nil
+}
+
+// foldRows folds the delivered rows [lo, hi) of blk.
+func (f *rowFolder) foldRows(blk *colf.Block, lo, hi int) error {
 	for i := lo; i < hi; i++ {
 		if blk.Lost[i] {
 			continue
 		}
-		probe := blk.Probe[i]
-		if probe != lastProbe {
-			lastProbe = probe
-			d, cnt = nil, nil
-			if cls.Known(probe) {
-				if ct, ok := cls.Continent(probe); ok {
-					if d = ns.dists[ct]; d == nil {
-						d = &stats.Dist{}
-						ns.dists[ct] = d
-					}
-					cnt = ns.bins(ct)
-				}
-			}
-		}
-		if d == nil {
-			continue
-		}
-		v := blk.RTT[i]
-		if err := d.Add(v); err != nil {
+		if err := f.add(blk.Probe[i], blk.RTT[i]); err != nil {
 			return err
-		}
-		if k := curveBin(v); k >= 0 {
-			cnt[k]++
 		}
 	}
 	return nil
@@ -694,11 +707,14 @@ func (ix *Index) Extend(store io.ReaderAt, blocks []colf.BlockInfo, cls Continen
 			lastBlk := blocks[start+span-1]
 			endOff := lastBlk.Off + lastBlk.Len
 			payload := encodeNode(level, start, startOff, endOff, left)
+			// Copy the summary out so the ref does not pin left's slabs.
+			curves := left.curves
 			ref := nodeRef{
 				level: level, start: start,
 				startOff: startOff, endOff: endOff,
 				rows: left.rows, delivered: left.delivered,
 				payloadOff: ix.size + 4, payloadLen: len(payload),
+				curves: &curves,
 			}
 			if err := ix.appendRecord(payload); err != nil {
 				return err

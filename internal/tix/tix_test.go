@@ -3,10 +3,13 @@ package tix_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +35,7 @@ import (
 type fixture struct {
 	world   *world.World
 	samples []results.Sample
+	meta    results.Meta
 	store   *results.Store
 	blocks  []colf.BlockInfo
 	binding tix.Binding
@@ -76,33 +80,15 @@ func buildFixture() (*fixture, error) {
 		return nil, err
 	}
 	meta := cfg.Meta(3, w.Probes.Len(), w.Catalog.Len())
-	store, sink, err := results.Create(dir, meta, results.FormatBinary)
+	// Seal small blocks so the store holds a few dozen of them.
+	store, blocks, err := writeStore(dir, meta, samples, fixBlockRows)
 	if err != nil {
 		return nil, err
 	}
-	for i, s := range samples {
-		if err := sink.Write(s); err != nil {
-			return nil, err
-		}
-		// Seal small blocks so the store holds a few dozen of them.
-		if (i+1)%fixBlockRows == 0 {
-			if err := sink.Flush(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := sink.Close(); err != nil {
-		return nil, err
-	}
-	r, closer, err := colf.Open(store.SamplesPath())
-	if err != nil {
-		return nil, err
-	}
-	blocks := append([]colf.BlockInfo(nil), r.Blocks()...)
-	closer.Close()
 	return &fixture{
 		world:   w,
 		samples: samples,
+		meta:    meta,
 		store:   store,
 		blocks:  blocks,
 		binding: tix.Binding{
@@ -111,6 +97,45 @@ func buildFixture() (*fixture, error) {
 			Meta:    core.MetaFingerprint(meta),
 		},
 	}, nil
+}
+
+// writeStore writes samples into a new binary store at dir, sealing a
+// block every blockRows rows, and returns it with its block list.
+func writeStore(dir string, meta results.Meta, samples []results.Sample, blockRows int) (*results.Store, []colf.BlockInfo, error) {
+	store, sink, err := results.Create(dir, meta, results.FormatBinary)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, s := range samples {
+		if err := sink.Write(s); err != nil {
+			return nil, nil, err
+		}
+		if (i+1)%blockRows == 0 {
+			if err := sink.Flush(); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	if err := sink.Close(); err != nil {
+		return nil, nil, err
+	}
+	r, closer, err := colf.Open(store.SamplesPath())
+	if err != nil {
+		return nil, nil, err
+	}
+	defer closer.Close()
+	return store, append([]colf.BlockInfo(nil), r.Blocks()...), nil
+}
+
+// writeStore writes samples into a fresh store under the fixture's
+// campaign meta (so its binding still applies).
+func (f *fixture) writeStore(t testing.TB, samples []results.Sample, blockRows int) (*results.Store, []colf.BlockInfo) {
+	t.Helper()
+	store, blocks, err := writeStore(t.TempDir(), f.meta, samples, blockRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store, blocks
 }
 
 // openSamples returns a ReaderAt over the samples file.
@@ -224,6 +249,49 @@ func assertDistsIdentical(t testing.TB, got, want map[geo.Continent]*stats.Dist)
 	}
 }
 
+// assertCurvesIdentical holds a window result's curve side to the
+// reference distributions: per continent, N must equal Dist.N() and
+// Curves() must equal Dist.Curve(Grid()) bit for bit — the numbers a
+// /cdf body prints.
+func assertCurvesIdentical(t testing.TB, res *tix.Result, want map[geo.Continent]*stats.Dist) {
+	t.Helper()
+	curves := res.Curves()
+	wantSamples := 0
+	for _, ct := range geo.Continents() {
+		wd := want[ct]
+		if wd == nil || wd.N() == 0 {
+			if n, ok := res.N[ct]; ok {
+				t.Fatalf("%v: result has N %d, reference has no samples", ct, n)
+			}
+			if curves[ct] != nil {
+				t.Fatalf("%v: result has a curve, reference has no samples", ct)
+			}
+			continue
+		}
+		if res.N[ct] != wd.N() {
+			t.Fatalf("%v: result N %d, reference %d", ct, res.N[ct], wd.N())
+		}
+		wantSamples += wd.N()
+		wc, err := wd.Curve(tix.Grid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc := curves[ct]
+		if len(gc) != len(wc) {
+			t.Fatalf("%v: curve has %d points, reference %d", ct, len(gc), len(wc))
+		}
+		for k := range wc {
+			if math.Float64bits(gc[k].X) != math.Float64bits(wc[k].X) ||
+				math.Float64bits(gc[k].P) != math.Float64bits(wc[k].P) {
+				t.Fatalf("%v: curve point %d = %+v, reference %+v", ct, k, gc[k], wc[k])
+			}
+		}
+	}
+	if res.Samples() != wantSamples {
+		t.Fatalf("result holds %d samples, reference %d", res.Samples(), wantSamples)
+	}
+}
+
 // sampleTime picks the timestamp of the i-th sample (clamped).
 func (f *fixture) sampleTime(i int) time.Time {
 	if i < 0 {
@@ -244,10 +312,22 @@ func TestQueryMatchesColdFold(t *testing.T) {
 	if len(f.blocks) < 16 {
 		t.Fatalf("fixture sealed only %d blocks; tests need a real tree", len(f.blocks))
 	}
-	ix := f.build(t, filepath.Join(t.TempDir(), "samples.tix"), f.blocks)
+	path := filepath.Join(t.TempDir(), "samples.tix")
+	ix := f.build(t, path, f.blocks)
 	sf := f.openSamples(t)
 	v := ix.View()
 	ctx := context.Background()
+	// A second handle opened over the written file holds the curve
+	// summaries decoded at open rather than the ones Extend kept.
+	reopened, err := tix.Open(path, f.binding, f.blocks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if reopened.Nodes() != ix.Nodes() {
+		t.Fatalf("reopen kept %d of %d nodes", reopened.Nodes(), ix.Nodes())
+	}
+	rv := reopened.View()
 
 	start := f.samples[0].Time
 	end := f.samples[len(f.samples)-1].Time
@@ -292,6 +372,28 @@ func TestQueryMatchesColdFold(t *testing.T) {
 					res.Rows, res.Delivered, rows, delivered)
 			}
 			assertDistsIdentical(t, res.ByContinent, want)
+			assertCurvesIdentical(t, res, want)
+
+			// The curve-only composition answers the same window from
+			// resident summaries: same N and curves, same accounting,
+			// no distributions.
+			cres, err := v.QueryCurves(ctx, sf, f.blocks, w.since, w.until, f.world.Index)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cres.ByContinent != nil {
+				t.Fatal("QueryCurves materialized distributions")
+			}
+			if cres.Rows != rows || cres.Delivered != delivered || cres.Stats != res.Stats {
+				t.Fatalf("QueryCurves covers %d/%d rows/delivered via %+v; Query %d/%d via %+v",
+					cres.Rows, cres.Delivered, cres.Stats, res.Rows, res.Delivered, res.Stats)
+			}
+			assertCurvesIdentical(t, cres, want)
+			rres, err := rv.QueryCurves(ctx, sf, f.blocks, w.since, w.until, f.world.Index)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertCurvesIdentical(t, rres, want)
 		})
 	}
 
@@ -335,6 +437,14 @@ func TestQueryPastFrontier(t *testing.T) {
 		t.Fatalf("rows/delivered %d/%d, reference %d/%d", res.Rows, res.Delivered, rows, delivered)
 	}
 	assertDistsIdentical(t, res.ByContinent, want)
+	cres, err := v.QueryCurves(context.Background(), sf, f.blocks, time.Time{}, time.Time{}, f.world.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cres.Stats != res.Stats {
+		t.Fatalf("QueryCurves composed %+v, Query %+v", cres.Stats, res.Stats)
+	}
+	assertCurvesIdentical(t, cres, want)
 }
 
 // TestIncrementalMatchesBatch pins build determinism: growing the
@@ -537,4 +647,142 @@ func TestStoreTruncationInvalidatesNodes(t *testing.T) {
 	// samples — not by a time window.
 	want, _, _ := f.refFoldSamples(t, f.samples[:2*fixBlockRows], time.Time{}, time.Time{})
 	assertDistsIdentical(t, res.ByContinent, want)
+}
+
+// TestQueryCurvesReadsNoSlabs proves the curve-only path is served from
+// resident summaries: with every node payload in the sidecar
+// overwritten after the view was taken, QueryCurves still answers
+// exactly as before, while Query — which reads slabs back — trips the
+// per-read CRC check.
+func TestQueryCurvesReadsNoSlabs(t *testing.T) {
+	f := getFixture(t)
+	path := filepath.Join(t.TempDir(), "samples.tix")
+	ix := f.build(t, path, f.blocks)
+	sf := f.openSamples(t)
+	v := ix.View()
+	ctx := context.Background()
+	type window struct{ since, until time.Time }
+	wins := []window{
+		{},
+		{f.sampleTime(fixBlockRows / 3), f.sampleTime(len(f.samples) - fixBlockRows/2)},
+	}
+	before := make([]*tix.Result, len(wins))
+	for i, w := range wins {
+		res, err := v.QueryCurves(ctx, sf, f.blocks, w.since, w.until, f.world.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Nodes == 0 {
+			t.Fatalf("window %d composed no nodes; the test proves nothing", i)
+		}
+		before[i] = res
+	}
+
+	// Overwrite every node record's payload in place (framing and CRCs
+	// stay, so each now fails its checksum).
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wf.Close()
+	overwritten := 0
+	for off := 8; off < len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if data[off+4] == 0x01 { // node record
+			if _, err := wf.WriteAt(bytes.Repeat([]byte{0xA5}, n), int64(off+4)); err != nil {
+				t.Fatal(err)
+			}
+			overwritten++
+		}
+		off += 4 + n + 4
+	}
+	if overwritten != ix.Nodes() {
+		t.Fatalf("overwrote %d node payloads, index holds %d nodes", overwritten, ix.Nodes())
+	}
+
+	for i, w := range wins {
+		res, err := v.QueryCurves(ctx, sf, f.blocks, w.since, w.until, f.world.Index)
+		if err != nil {
+			t.Fatalf("window %d: QueryCurves read the sidecar: %v", i, err)
+		}
+		if !reflect.DeepEqual(res.N, before[i].N) || !reflect.DeepEqual(res.Curves(), before[i].Curves()) ||
+			res.Rows != before[i].Rows || res.Delivered != before[i].Delivered || res.Stats != before[i].Stats {
+			t.Fatalf("window %d: QueryCurves answer changed after the sidecar was overwritten", i)
+		}
+		if _, err := v.Query(ctx, sf, f.blocks, w.since, w.until, f.world.Index); err == nil ||
+			!strings.Contains(err.Error(), "CRC") {
+			t.Fatalf("window %d: Query over overwritten slabs returned %v, want a CRC failure", i, err)
+		}
+	}
+}
+
+// TestQueryCurvesAllocsFlat: composing a window from resident curve
+// summaries allocates the same whether it spans one 2-block node, one
+// 128-block node, or the six nodes of blocks [2, 128) — per-query work
+// is O(continents × bins), independent of the window's size. The store
+// is the fixture's samples re-timed one second apart and sealed every
+// allocBlockRows rows, so block boundaries are exact window bounds and
+// no edge block is decoded.
+func TestQueryCurvesAllocsFlat(t *testing.T) {
+	f := getFixture(t)
+	const allocBlockRows = 64
+	samples := append([]results.Sample(nil), f.samples...)
+	base := samples[0].Time
+	for i := range samples {
+		samples[i].Time = base.Add(time.Duration(i) * time.Second)
+	}
+	store, blocks := f.writeStore(t, samples, allocBlockRows)
+	if len(blocks) < 128 {
+		t.Fatalf("store sealed only %d blocks; the test needs 128", len(blocks))
+	}
+	sf, err := os.Open(store.SamplesPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	ix, err := tix.Open(filepath.Join(t.TempDir(), "samples.tix"), f.binding, blocks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if err := ix.Extend(sf, blocks, f.world.Index); err != nil {
+		t.Fatal(err)
+	}
+	v := ix.View()
+	ctx := context.Background()
+	blockTime := func(b int) time.Time { return samples[b*allocBlockRows].Time }
+
+	allocs := make(map[string]float64)
+	for _, w := range []struct {
+		name          string
+		lo, hi, nodes int
+	}{
+		{"2-block", 0, 2, 1},
+		{"128-block", 0, 128, 1},
+		{"blocks-2-128", 2, 128, 6},
+	} {
+		since, until := blockTime(w.lo), blockTime(w.hi)
+		res, err := v.QueryCurves(ctx, sf, blocks, since, until, f.world.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Nodes != w.nodes || res.Stats.NodeBlocks != w.hi-w.lo || res.Stats.DecodedBlocks() != 0 {
+			t.Fatalf("%s: composed %+v, want %d nodes over %d blocks and no decodes", w.name, res.Stats, w.nodes, w.hi-w.lo)
+		}
+		want, _, _ := f.refFoldSamples(t, samples[w.lo*allocBlockRows:w.hi*allocBlockRows], time.Time{}, time.Time{})
+		assertCurvesIdentical(t, res, want)
+		allocs[w.name] = testing.AllocsPerRun(20, func() {
+			if _, err := v.QueryCurves(ctx, sf, blocks, since, until, f.world.Index); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("allocations per query: %v", allocs)
+	if allocs["128-block"] > allocs["2-block"] || allocs["blocks-2-128"] > allocs["2-block"] {
+		t.Fatalf("allocations grow with the window: %v", allocs)
+	}
 }
